@@ -31,13 +31,7 @@ _DEFAULT_MASKS = (
 
 def _parity(value: int) -> int:
     """Parity of the set bits in ``value``."""
-    value ^= value >> 32
-    value ^= value >> 16
-    value ^= value >> 8
-    value ^= value >> 4
-    value ^= value >> 2
-    value ^= value >> 1
-    return value & 1
+    return value.bit_count() & 1
 
 
 def _splitmix64(value: int) -> int:
@@ -64,6 +58,11 @@ class SliceHash:
                  masks: tuple[int, ...] = _DEFAULT_MASKS) -> None:
         if num_slices <= 0:
             raise ValueError("need at least one slice")
+        # slice_of_array hashes in uint64, so a mask bit at 64 or above
+        # would make the scalar and vector paths disagree.
+        wide = [mask for mask in masks if not 0 <= mask < 2**64]
+        if wide:
+            raise ValueError(f"slice-hash masks must fit in 64 bits: {wide}")
         self.num_slices = num_slices
         self.masks = masks
         if allowed_slices is None:

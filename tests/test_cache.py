@@ -1,8 +1,12 @@
 """The set-associative cache: hits, evictions, listeners, stats."""
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
 from repro.cache import RandomizedIndexer, SetAssociativeCache
+from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.config import CacheConfig
 
 
@@ -157,3 +161,126 @@ class TestRandomizedIndexing:
     def test_same_line_same_set(self):
         indexer = RandomizedIndexer(64, key=3)
         assert indexer.index(12345) == indexer.index(12345)
+
+
+@dataclass
+class _EagerSet:
+    lines: list
+    policy: ReplacementPolicy
+
+
+class EagerReferenceCache:
+    """The pre-built-list cache model: every set exists from the start.
+
+    Only the behaviour the lazy cache must reproduce is kept: hit/miss,
+    victim choice, invalidation and a flush that keeps policy state.
+    """
+
+    def __init__(self, sets: int, ways: int, policy: str) -> None:
+        self.num_sets = sets
+        self.ways = ways
+        self._sets = [
+            _EagerSet([None] * ways, make_policy(policy, ways))
+            for _ in range(sets)
+        ]
+
+    def lookup(self, line: int) -> bool:
+        cache_set = self._sets[line % self.num_sets]
+        if line not in cache_set.lines:
+            return False
+        cache_set.policy.touch(cache_set.lines.index(line))
+        return True
+
+    def insert(self, line: int) -> int | None:
+        cache_set = self._sets[line % self.num_sets]
+        if line in cache_set.lines:
+            cache_set.policy.touch(cache_set.lines.index(line))
+            return None
+        way = cache_set.policy.victim(
+            [slot is not None for slot in cache_set.lines]
+        )
+        victim = cache_set.lines[way]
+        cache_set.lines[way] = line
+        cache_set.policy.fill(way)
+        return victim
+
+    def invalidate(self, line: int) -> bool:
+        cache_set = self._sets[line % self.num_sets]
+        if line not in cache_set.lines:
+            return False
+        way = cache_set.lines.index(line)
+        cache_set.lines[way] = None
+        cache_set.policy.invalidate(way)
+        return True
+
+    def flush_all(self) -> None:
+        for cache_set in self._sets:
+            cache_set.lines = [None] * self.ways
+
+
+class TestLazySets:
+    def test_fresh_cache_holds_no_sets(self):
+        assert tiny_cache(sets=64, ways=4)._sets == {}
+
+    def test_reads_of_untouched_sets_allocate_nothing(self):
+        cache = tiny_cache(sets=64, ways=4)
+        for line in range(512):
+            assert not cache.lookup(line)
+            assert not cache.contains(line)
+            assert not cache.invalidate(line)
+        assert all(cache.lines_in_set(i) == [] for i in range(64))
+        assert cache.occupancy() == 0
+        cache.flush_all()
+        assert cache._sets == {}
+        assert cache.stats.misses == 512
+
+    def test_fill_builds_only_its_own_set(self):
+        cache = tiny_cache(sets=64, ways=4)
+        cache.insert(5)
+        cache.insert(69)  # same set as 5
+        assert list(cache._sets) == [5]
+        assert sorted(cache.lines_in_set(5)) == [5, 69]
+
+    def test_bad_policy_rejected_before_any_fill(self):
+        with pytest.raises(ValueError):
+            tiny_cache(policy="mru")
+        with pytest.raises(ValueError):
+            tiny_cache(ways=3, policy="plru")
+
+    def test_flush_keeps_touched_sets(self):
+        cache = tiny_cache(sets=8, ways=2)
+        for line in (1, 2, 9):
+            cache.insert(line)
+        cache.flush_all()
+        assert sorted(cache._sets) == [1, 2]
+        assert cache.occupancy() == 0
+
+    @pytest.mark.parametrize("policy", ["lru", "plru", "random"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_eager_reference(self, policy, seed):
+        sets, ways = 8, 4
+        lazy = tiny_cache(sets=sets, ways=ways, policy=policy)
+        eager = EagerReferenceCache(sets, ways, policy)
+        rng = np.random.default_rng(seed)
+        # Three lines per way: enough conflict to exercise every policy's
+        # victim choice, with a few sets left cold.
+        lines = rng.integers(0, sets * ways * 3, size=4000)
+        ops = rng.random(size=len(lines))
+        lazy_trace, eager_trace = [], []
+        for step, (line, op) in enumerate(zip(lines.tolist(), ops)):
+            if step in (1000, 2500):
+                lazy.flush_all()
+                eager.flush_all()
+            if op < 0.1:
+                lazy_trace.append(("inv", lazy.invalidate(line)))
+                eager_trace.append(("inv", eager.invalidate(line)))
+                continue
+            hit = lazy.lookup(line)
+            lazy_trace.append(("hit", hit))
+            eager_trace.append(("hit", eager.lookup(line)))
+            if not hit:
+                lazy_trace.append(("victim", lazy.insert(line)))
+                eager_trace.append(("victim", eager.insert(line)))
+        assert lazy_trace == eager_trace
+        assert sum(1 for kind, v in lazy_trace
+                   if kind == "victim" and v is not None) > 100

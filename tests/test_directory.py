@@ -111,3 +111,34 @@ class TestCapacity:
         directory.record_fill(1, 0)
         directory.record_fill(9, 0)  # everything maps to set 0
         assert kicked == [1]
+
+
+class TestLazySets:
+    def test_fresh_directory_holds_no_sets(self):
+        assert make_directory(sets=2048)._sets == {}
+
+    def test_reads_of_untouched_sets_allocate_nothing(self):
+        directory = make_directory(sets=64)
+        for line in range(256):
+            directory.record_eviction(line, 0)
+            directory.record_invalidation(line)
+            assert directory.holders(line) == frozenset()
+            assert directory.remote_holder(line, 0) is None
+        assert directory.tracked_lines() == 0
+        assert directory._sets == {}
+        assert directory.snoop_misses == 256
+
+    def test_fill_builds_only_its_own_set(self):
+        directory = make_directory(sets=8)
+        directory.record_fill(3, 0)
+        directory.record_fill(11, 1)  # same set as 3
+        assert list(directory._sets) == [3]
+        assert directory.tracked_lines() == 2
+
+    def test_emptied_set_reads_like_an_untouched_one(self):
+        directory = make_directory(sets=8)
+        directory.record_fill(3, 0)
+        directory.record_eviction(3, 0)
+        assert directory.holders(3) == frozenset()
+        assert directory.remote_holder(3, 1) is None
+        assert directory.tracked_lines() == 0

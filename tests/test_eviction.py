@@ -1,5 +1,6 @@
 """Eviction-list construction (Section 3.1's EV lists)."""
 
+import numpy as np
 import pytest
 
 from repro.cache import CacheHierarchy, EvictionListBuilder, Level
@@ -140,3 +141,42 @@ class TestPartitionAndBudget:
         # than 16 MB of candidates for 5000 matches).
         with pytest.raises(MemoryError_):
             builder.build_l2_list(slice_id=0, l2_set=0, count=5000)
+
+
+def per_page_reference(builder, allocations):
+    """The original per-page candidate loop, one small array per page."""
+    space = builder.space
+    page = space.page_bytes
+    offsets = np.arange(page // 64, dtype=np.int64)
+    virt_chunks, line_chunks = [], []
+    for allocation in allocations:
+        for virtual_base in range(allocation.virtual_base,
+                                  allocation.virtual_end, page):
+            physical_base = space.translate(virtual_base)
+            virt_chunks.append(virtual_base + offsets * 64)
+            line_chunks.append(
+                ((physical_base >> 6) + offsets).astype(np.uint64)
+            )
+    lines = np.concatenate(line_chunks)
+    return (np.concatenate(virt_chunks), lines,
+            builder.slice_hash.slice_of_array(lines))
+
+
+class TestCandidateGrowth:
+    @pytest.mark.parametrize("allowed", [None, (1, 3, 5, 7)])
+    def test_matches_per_page_loop(self, setup, allowed):
+        hierarchy, _, space = setup
+        slice_hash = (None if allowed is None
+                      else hierarchy.slice_hash.restricted(allowed))
+        builder = EvictionListBuilder(space, hierarchy,
+                                      slice_hash=slice_hash)
+        builder._grow()
+        builder._grow()
+        virtual, lines, slices = per_page_reference(builder,
+                                                    space.allocations)
+        for got, want in ((builder._virtual, virtual),
+                          (builder._lines, lines),
+                          (builder._slices, slices)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert builder.candidate_count == 2 * 4096 * 64

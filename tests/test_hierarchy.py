@@ -5,6 +5,7 @@ import pytest
 from repro.cache import CacheHierarchy, Level
 from repro.config import CacheConfig, SocketConfig, SOCKET0_ACTIVE_TILES
 from repro.errors import ChannelError
+from repro.platform import System
 
 
 @pytest.fixture
@@ -24,6 +25,13 @@ def small_hierarchy() -> CacheHierarchy:
         llc_slice_config=CacheConfig("LLC", 4 * 2 * 64, 2),
     )
     return CacheHierarchy(config)
+
+
+def allocated_sets(hierarchy: CacheHierarchy) -> int:
+    """Cache and directory sets that exist (built on first fill)."""
+    caches = (*hierarchy._l1, *hierarchy._l2, *hierarchy._llc)
+    return (sum(len(cache._sets) for cache in caches)
+            + sum(len(d._sets) for d in hierarchy._directories))
 
 
 class TestLoadPath:
@@ -162,3 +170,29 @@ class TestFlushAll:
         hierarchy.flush_all()
         assert hierarchy.load(0, 0x1000).level is Level.DRAM
         assert hierarchy.directory_back_invalidations == 0
+
+
+class TestLazySets:
+    def test_fresh_hierarchy_holds_no_sets(self, hierarchy):
+        assert allocated_sets(hierarchy) == 0
+
+    def test_fresh_system_holds_no_sets(self):
+        system = System(seed=1)
+        assert len(system.sockets) == 2
+        assert all(allocated_sets(socket.hierarchy) == 0
+                   for socket in system.sockets)
+
+    def test_reads_and_flushes_allocate_nothing(self, hierarchy):
+        for address in range(0, 64 * 4096, 4096):
+            hierarchy.clflush(address)
+        hierarchy.flush_all()
+        assert hierarchy.directory_back_invalidations == 0
+        assert allocated_sets(hierarchy) == 0
+
+    def test_one_dram_load_builds_one_set_per_filled_structure(
+            self, hierarchy):
+        hierarchy.load(0, 0x10000)
+        # L1 + L2 of core 0 and the home slice's directory; a DRAM fill
+        # bypasses the LLC.
+        assert allocated_sets(hierarchy) == 3
+        assert all(len(cache._sets) == 0 for cache in hierarchy._llc)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cache import SliceHash
+from repro.cache.slice_hash import _parity
 
 
 class TestSliceHash:
@@ -73,3 +75,40 @@ class TestRestriction:
         restricted = SliceHash(16).restricted((1, 3))
         assert restricted.num_slices == 16
         assert restricted.allowed_slices == (1, 3)
+
+
+def fold_parity_64(value: int) -> int:
+    """The 64-bit XOR-fold parity that ``_parity`` replaced."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        value ^= value >> shift
+    return value & 1
+
+
+words = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+class TestParityAndPaths:
+    @given(words)
+    def test_parity_matches_64_bit_fold(self, value):
+        assert _parity(value) == fold_parity_64(value)
+
+    @given(st.lists(words, min_size=1, max_size=50),
+           st.sets(st.integers(0, 15), min_size=1))
+    def test_scalar_matches_vector(self, lines, allowed):
+        for hash_fn in (SliceHash(16),
+                        SliceHash(16).restricted(tuple(sorted(allowed)))):
+            vector = hash_fn.slice_of_array(np.array(lines,
+                                                     dtype=np.uint64))
+            assert list(vector) == [hash_fn.slice_of(l) for l in lines]
+
+    @pytest.mark.parametrize("mask", [2**64, 2**64 + 1, 1 << 70, -1])
+    def test_mask_wider_than_64_bits_rejected(self, mask):
+        with pytest.raises(ValueError):
+            SliceHash(16, masks=(0x1B5F575440, mask))
+
+    def test_widest_64_bit_mask_accepted(self):
+        hash_fn = SliceHash(16, masks=(2**64 - 1,))
+        lines = np.arange(1000, dtype=np.uint64)
+        assert list(hash_fn.slice_of_array(lines)) == [
+            hash_fn.slice_of(int(line)) for line in lines
+        ]
