@@ -57,6 +57,16 @@ class ActivityProfile:
 IDLE = ActivityProfile()
 
 
+def _is_quiet(profile: ActivityProfile) -> bool:
+    """Inactive and silent: every window integral is an exact zero.
+
+    The NoC test is not implied by the LLC one: a zero rate times an
+    infinite hop distance is a NaN score.
+    """
+    return (not profile.active and profile.llc_rate_per_us == 0
+            and profile.noc_score == 0)
+
+
 @dataclass(frozen=True)
 class WindowStats:
     """Exact integrals of one timeline over a time window."""
@@ -79,6 +89,7 @@ class ProfileTimeline:
     def __init__(self, initial: ActivityProfile = IDLE) -> None:
         self._times: list[int] = [0]
         self._profiles: list[ActivityProfile] = [initial]
+        self._quiet_since: int | None = 0 if _is_quiet(initial) else None
 
     def set_profile(self, time_ns: int, profile: ActivityProfile) -> None:
         """Switch to ``profile`` at ``time_ns`` (monotone non-decreasing)."""
@@ -87,11 +98,23 @@ class ProfileTimeline:
                 f"profile change at {time_ns} ns precedes the last change "
                 f"at {self._times[-1]} ns"
             )
+        self._quiet_since = time_ns if _is_quiet(profile) else None
         if time_ns == self._times[-1]:
             self._profiles[-1] = profile
             return
         self._times.append(time_ns)
         self._profiles.append(profile)
+
+    def quiet_since(self) -> int | None:
+        """Time of the last change if the latest profile is quiet.
+
+        Quiet means inactive with zero LLC rate and NoC score.  Over a
+        window ``[t0, t1)`` with ``quiet_since() <= t0``, ``window_stats``
+        returns exact zeros for the active fraction, LLC rate and NoC
+        score, so the UFS PMU may leave the core out of its fold.
+        ``None`` when the latest profile is not quiet.
+        """
+        return self._quiet_since
 
     def profile_at(self, time_ns: int) -> ActivityProfile:
         """The profile in force at ``time_ns``."""

@@ -24,6 +24,14 @@ Implements the behaviour summarised in Section 3.5 of the paper:
 The OS restrains (or disables) UFS through ``UNCORE_RATIO_LIMIT``; the
 PMU re-reads its limits whenever that MSR is written (Section 6.1's
 countermeasures build on exactly this).
+
+The control law has one implementation, :func:`ufs_control_step`, a
+pure function over arrays.  The event-driven :class:`UfsPmu` and the
+batch backend both call it on observations folded by
+:func:`accumulate_observation`, so they agree bit for bit.  The PMU
+only avoids work whose answer is known: it memoizes the step on its
+full input tuple, and it leaves out of the fold any core that has been
+quiet since before the window, whose contribution is exact zeros.
 """
 
 from __future__ import annotations
@@ -135,6 +143,10 @@ def accumulate_observation(
                 stalled += 1
     return (active, stalled, llc_rate, noc_score, max_stall, turbo_active)
 
+
+#: Entries one PMU's control-step memo holds before it is cleared
+#: wholesale (a Fig. 12 study needs about 2.2k).
+_STEP_MEMO_BOUND = 4096
 
 #: Sentinel in target arrays for "no demand" (the scalar path's None).
 NO_TARGET = np.int64(-1)
@@ -347,6 +359,8 @@ class UfsPmu:
         self.turbo_pins = 0
         self.stall_pins = 0
         self.decrease_vetoes = 0
+        # Memo of the pure control step: input tuple -> unpacked result.
+        self._step_memo: dict[tuple, tuple] = {}
         self._task = PeriodicTask(
             engine,
             ufs_config.period_ns,
@@ -397,30 +411,45 @@ class UfsPmu:
         return max(self.min_limit_mhz, min(self.max_limit_mhz, freq_mhz))
 
     def _observe(self, t0: int,
-                 t1: int) -> tuple[int, int, float, float, float]:
-        """Integrate all core timelines over the observation window.
+                 t1: int) -> tuple[int, int, float, float, float, bool]:
+        """Integrate the core timelines over the observation window.
 
         Only the trailing ``observation_ns`` of the evaluation period is
         integrated — the PMU reacts to recent behaviour.  Also returns
         the maximum per-core window stall ratio, used by the
         decrease-hysteresis veto.
+
+        A core that has been quiet (inactive, no LLC traffic) since
+        before the window is left out.  Its window stats are exact
+        zeros, so in the fold it would only add ``+0.0`` to the rates,
+        take ``max(x, 0.0)`` on the stall residue and set no flag: the
+        fold without it is bit-identical.
         """
         t0 = max(t0, t1 - self.config.observation_ns)
+        samples = []
+        for core in self.cores:
+            since = core.timeline.quiet_since()
+            if since is not None and since <= t0:
+                continue
+            samples.append((core.timeline.window_stats(t0, t1),
+                            core.above_base))
         return accumulate_observation(
-            (
-                (core.timeline.window_stats(t0, t1), core.above_base)
-                for core in self.cores
-            ),
-            self.config.stall_ratio_threshold,
+            samples, self.config.stall_ratio_threshold
         )
 
     def _evaluate(self) -> None:
         """One PMU evaluation: observe, choose a target, step.
 
-        The decision itself is delegated to :func:`ufs_control_step`
-        with shape-``(1,)`` arrays — the same code path the batch
-        backend drives with one element per trial, which is what makes
-        the two backends bit-identical by construction.
+        The decision itself is :func:`ufs_control_step` with
+        shape-``(1,)`` arrays — the same pure function the batch backend
+        drives with one element per trial, which is what makes the two
+        backends bit-identical by construction.  Because the step is
+        pure and the config, demand model and coupling lag are fixed per
+        PMU, its unpacked result is memoized on the full scalar input
+        tuple (limits included, so :meth:`set_limits` needs no
+        invalidation).  A hit returns what the call would have
+        returned; every tick still records, counts and steps the
+        timeline.
         """
         now = self.engine.now
         t0, t1 = self._last_eval_ns, now
@@ -430,39 +459,60 @@ class UfsPmu:
 
         (active, stalled, llc_rate, noc_score, max_stall,
          turbo_active) = self._observe(t0, t1)
+        remote = (None if self.remote_frequency is None
+                  else self.remote_frequency())
+        key = (self.current_mhz, self._dither_phase,
+               self._slow_step_countdown, self.min_limit_mhz,
+               self.max_limit_mhz, active, stalled, llc_rate, noc_score,
+               max_stall, turbo_active, remote)
+        decision = self._step_memo.get(key)
+        if decision is None:
+            decision = self._control_step(key)
+            if len(self._step_memo) >= _STEP_MEMO_BOUND:
+                self._step_memo.clear()
+            self._step_memo[key] = decision
+        (freq, self._dither_phase, self._slow_step_countdown, turbo_pin,
+         veto, stall_rule, target, heavy) = decision
+        if turbo_pin:
+            self.turbo_pins += 1
+        if veto:
+            self.decrease_vetoes += 1
+        self.timeline.set_frequency(now, freq)
+        self._record(now, active, stalled, llc_rate, noc_score,
+                     stall_rule, target, heavy)
 
-        remote = None
-        if self.remote_frequency is not None:
-            remote = np.array([self.remote_frequency()], dtype=np.int64)
+    def _control_step(self, key: tuple) -> tuple:
+        """Run :func:`ufs_control_step` on one input tuple, unpacked."""
+        (freq, phase, countdown, min_limit, max_limit, active, stalled,
+         llc_rate, noc_score, max_stall, turbo, remote) = key
+
+        def ints(value: int) -> np.ndarray:
+            return np.array([value], dtype=np.int64)
+
+        def floats(value: float) -> np.ndarray:
+            return np.array([value], dtype=np.float64)
+
         result = ufs_control_step(
-            freq_mhz=np.array([self.current_mhz], dtype=np.int64),
-            dither_phase=np.array([self._dither_phase], dtype=np.int64),
-            slow_countdown=np.array(
-                [self._slow_step_countdown], dtype=np.int64
-            ),
-            min_limit_mhz=np.array([self.min_limit_mhz], dtype=np.int64),
-            max_limit_mhz=np.array([self.max_limit_mhz], dtype=np.int64),
-            active=np.array([active], dtype=np.int64),
-            stalled=np.array([stalled], dtype=np.int64),
-            llc_rate=np.array([llc_rate], dtype=np.float64),
-            noc_score=np.array([noc_score], dtype=np.float64),
-            max_stall=np.array([max_stall], dtype=np.float64),
-            turbo=np.array([turbo_active], dtype=bool),
-            remote_mhz=remote,
+            freq_mhz=ints(freq),
+            dither_phase=ints(phase),
+            slow_countdown=ints(countdown),
+            min_limit_mhz=ints(min_limit),
+            max_limit_mhz=ints(max_limit),
+            active=ints(active),
+            stalled=ints(stalled),
+            llc_rate=floats(llc_rate),
+            noc_score=floats(noc_score),
+            max_stall=floats(max_stall),
+            turbo=np.array([turbo], dtype=bool),
+            remote_mhz=None if remote is None else ints(remote),
             ufs=self.config,
             demand=self.demand_model.config,
             coupling_lag_mhz=self.coupling_lag_mhz,
         )
-        self._dither_phase = int(result.dither_phase[0])
-        self._slow_step_countdown = int(result.slow_countdown[0])
-        if result.turbo_pin[0]:
-            self.turbo_pins += 1
-        if result.veto[0]:
-            self.decrease_vetoes += 1
-        self.timeline.set_frequency(now, int(result.freq_mhz[0]))
-        self._record(now, active, stalled, llc_rate, noc_score,
-                     bool(result.stall_rule[0]),
-                     int(result.target_mhz[0]), bool(result.heavy[0]))
+        return (int(result.freq_mhz[0]), int(result.dither_phase[0]),
+                int(result.slow_countdown[0]), bool(result.turbo_pin[0]),
+                bool(result.veto[0]), bool(result.stall_rule[0]),
+                int(result.target_mhz[0]), bool(result.heavy[0]))
 
     def _record(self, now: int, active: int, stalled: int, llc: float,
                 noc: float, stall_rule: bool, target: int,

@@ -122,6 +122,75 @@ class TestProfileTimeline:
         assert len(timeline) == 2
 
 
+class TestQuietSince:
+    """``quiet_since`` licenses the UFS PMU to skip a core's window."""
+
+    def test_fresh_timeline_is_quiet_from_zero(self):
+        assert ProfileTimeline().quiet_since() == 0
+
+    def test_inactive_with_llc_traffic_is_not_quiet(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(
+            100, ActivityProfile(active=False, llc_rate_per_us=5.0)
+        )
+        assert timeline.quiet_since() is None
+
+    def test_active_without_llc_traffic_is_not_quiet(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, ActivityProfile(active=True))
+        assert timeline.quiet_since() is None
+
+    def test_nan_noc_score_is_not_quiet(self):
+        # Zero rate times infinite hops: the window's NoC score is NaN,
+        # not zero, so the fold must see the core.
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, ActivityProfile(mean_hops=float("inf")))
+        assert timeline.quiet_since() is None
+
+    def test_reports_the_last_change(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, ActivityProfile(active=True))
+        timeline.set_profile(300, IDLE)
+        assert timeline.quiet_since() == 300
+        # A quiet-to-quiet change still moves the answer: it is the
+        # last change, not the start of the quiet stretch.
+        timeline.set_profile(500, ActivityProfile(mean_hops=2.0))
+        assert timeline.quiet_since() == 500
+
+    def test_same_time_set_profile_replaces(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, IDLE)
+        assert timeline.quiet_since() == 100
+        timeline.set_profile(100, ActivityProfile(active=True))
+        assert timeline.quiet_since() is None
+        timeline.set_profile(100, IDLE)
+        assert timeline.quiet_since() == 100
+
+    def test_profile_set_after_window_start_is_not_skipped(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(
+            0, ActivityProfile(active=True, llc_rate_per_us=40.0)
+        )
+        timeline.set_profile(1000, IDLE)
+        since = timeline.quiet_since()
+        # The window [500, 2000) still holds busy time: not skippable.
+        assert since > 500
+        assert timeline.window_stats(500, 2000).active_fraction > 0
+        # From the change on, the window integrals are exact zeros.
+        assert since <= 1000
+        stats = timeline.window_stats(1000, 2000)
+        assert (stats.active_fraction, stats.llc_rate_per_us,
+                stats.noc_score) == (0.0, 0.0, 0.0)
+
+    def test_trim_keeps_quiet_since_valid(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, ActivityProfile(active=True))
+        timeline.set_profile(200, IDLE)
+        timeline.trim_before(500)
+        assert timeline.quiet_since() == 200
+        assert timeline.window_stats(500, 900).active_fraction == 0.0
+
+
 class TestCore:
     def _core(self) -> Core:
         return Core(core_id=0, socket_id=0, tile=(0, 1),

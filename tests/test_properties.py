@@ -3,7 +3,8 @@
 These verify invariants for arbitrary inputs rather than hand-picked
 cases: cache occupancy bounds, LRU correctness against a reference
 model, exact timeline integration, MSR field round-trips, ring routing
-geometry, entropy bounds and frequency-timeline consistency.
+geometry, entropy bounds, frequency-timeline consistency and the
+exactness of the UFS PMU's quiet-core skip.
 """
 
 import math
@@ -12,14 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import binary_entropy, channel_capacity_bps
 from repro.cache import LRUPolicy, SetAssociativeCache, SliceHash
-from repro.config import CacheConfig
-from repro.cpu import ActivityProfile, ProfileTimeline
+from repro.config import CacheConfig, DemandModelConfig, UfsConfig
+from repro.cpu import IDLE, ActivityProfile, Core, ProfileTimeline
 from repro.cpu.msr import (
     decode_uncore_ratio_limit,
     encode_uncore_ratio_limit,
 )
+from repro.engine import Engine
 from repro.noc import RingTopology
-from repro.power import FrequencyTimeline
+from repro.power import FrequencyTimeline, UfsPmu
+from repro.power.ufs import accumulate_observation
 
 lines = st.integers(min_value=0, max_value=1 << 40)
 
@@ -143,6 +146,59 @@ class TestTimelineProperties:
         for (_, end_a, _), (start_b, _, _) in zip(segments,
                                                   segments[1:]):
             assert end_a == start_b
+
+
+class TestQuietCoreSkip:
+    """The PMU's fold with quiet cores left out equals the full fold."""
+
+    profiles = st.one_of(
+        st.just(IDLE),
+        # Quiet despite a hop distance: no traffic to weight.
+        st.builds(ActivityProfile, mean_hops=st.floats(0, 3)),
+        st.builds(
+            ActivityProfile,
+            active=st.booleans(),
+            llc_rate_per_us=st.floats(0, 500),
+            mean_hops=st.floats(0, 3),
+            stall_ratio=st.floats(0, 1),
+        ),
+    )
+    # Per core: a sequence of (delay, profile) changes and a turbo flag.
+    cores = st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 4_000_000), profiles),
+                     max_size=5),
+            st.booleans(),
+        ),
+        min_size=16, max_size=16,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(cores, st.integers(0, 25_000_000), st.integers(1, 12_000_000))
+    def test_skipping_quiet_cores_is_bit_exact(self, spec, t0, width):
+        engine = Engine()
+        cores = [Core(i, 0, (0, i % 5), 2600) for i in range(16)]
+        pmu = UfsPmu(socket_id=0, engine=engine, cores=cores,
+                     ufs_config=UfsConfig(),
+                     demand_config=DemandModelConfig())
+        for core, (changes, turbo) in zip(cores, spec):
+            time = 0
+            for delay, profile in changes:
+                time += delay
+                core.set_profile(time, profile)
+            if turbo:
+                core.set_p_state(3000)
+        t1 = t0 + width
+        start = max(t0, t1 - pmu.config.observation_ns)
+        full = accumulate_observation(
+            ((core.timeline.window_stats(start, t1), core.above_base)
+             for core in cores),
+            pmu.config.stall_ratio_threshold,
+        )
+        observed = pmu._observe(t0, t1)
+        assert observed == full
+        # repr tells 0.0 from -0.0: the floats are equal bit for bit.
+        assert repr(observed) == repr(full)
 
 
 class TestMsrProperties:

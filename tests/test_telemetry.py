@@ -10,8 +10,6 @@ from repro.core.evaluation import (
     SweepResult,
     capacity_sweep,
     measure_capacity,
-    peak_capacity,
-    summarize_sweep,
 )
 from repro.engine import Engine
 from repro.errors import ConfigError
@@ -300,13 +298,6 @@ class TestSweepResult:
         data = json.loads(self._sweep().to_json())
         assert len(data["points"]) == 3
         assert data["summary"]["peak_capacity_bps"] == 40.9
-
-    def test_deprecated_shims_delegate_and_warn(self):
-        points = list(self._sweep().points)
-        with pytest.warns(DeprecationWarning):
-            assert peak_capacity(points).capacity_bps == 40.9
-        with pytest.warns(DeprecationWarning):
-            assert summarize_sweep(points)["peak_interval_ms"] == 21.0
 
 
 class TestExperimentContext:
