@@ -11,7 +11,7 @@ what Prime+Abort keys on).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import CacheConfig
 from .replacement import ReplacementPolicy, make_policy
@@ -41,13 +41,22 @@ class CacheStats:
         self.evictions = self.invalidations = 0
 
 
-@dataclass
 class _Set:
-    """One cache set: per-way line numbers and a replacement policy."""
+    """One cache set: per-way line numbers, their occupancy flags and a
+    replacement policy.
 
-    lines: list[int | None]
-    policy: ReplacementPolicy
-    way_of: dict[int, int] = field(default_factory=dict)
+    ``occupied[way]`` is ``lines[way] is not None``, kept up to date on
+    every fill, invalidate and flush so a fill can hand it to
+    :meth:`ReplacementPolicy.victim` without building a list.
+    """
+
+    __slots__ = ("lines", "occupied", "policy", "way_of")
+
+    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
+        self.lines: list[int | None] = [None] * ways
+        self.occupied = [False] * ways
+        self.policy = policy
+        self.way_of: dict[int, int] = {}
 
 
 class SetAssociativeCache:
@@ -75,6 +84,7 @@ class SetAssociativeCache:
         self._indexer: Indexer = (
             indexer if indexer is not None else StandardIndexer(self.num_sets)
         )
+        self._index = self._indexer.index
         make_policy(policy, self.ways)  # reject a bad policy up front
         self._policy = policy
         # Sets are built on their first fill: a platform has ~500k sets
@@ -95,19 +105,15 @@ class SetAssociativeCache:
         """Unregister a previously added eviction listener."""
         self._eviction_listeners.remove(callback)
 
-    def _notify_eviction(self, line: int) -> None:
-        for listener in self._eviction_listeners:
-            listener(line)
-
     # -- core operations --------------------------------------------------
 
     def set_index(self, line: int) -> int:
         """The set this cache maps ``line`` to (indexer-dependent)."""
-        return self._indexer.index(line)
+        return self._index(line)
 
     def lookup(self, line: int) -> bool:
         """Probe for ``line``; updates replacement state on a hit."""
-        cache_set = self._sets.get(self._indexer.index(line))
+        cache_set = self._sets.get(self._index(line))
         way = None if cache_set is None else cache_set.way_of.get(line)
         if way is None:
             self.stats.misses += 1
@@ -118,29 +124,29 @@ class SetAssociativeCache:
 
     def contains(self, line: int) -> bool:
         """Probe without side effects (no replacement-state update)."""
-        cache_set = self._sets.get(self._indexer.index(line))
+        cache_set = self._sets.get(self._index(line))
         return cache_set is not None and line in cache_set.way_of
 
     def insert(self, line: int) -> int | None:
         """Fill ``line``; returns the evicted line number, if any."""
-        index = self._indexer.index(line)
+        index = self._index(line)
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = _Set(
-                lines=[None] * self.ways,
-                policy=make_policy(self._policy, self.ways),
+                self.ways, make_policy(self._policy, self.ways)
             )
         elif line in cache_set.way_of:
             cache_set.policy.touch(cache_set.way_of[line])
             return None
-        occupied = [slot is not None for slot in cache_set.lines]
-        way = cache_set.policy.victim(occupied)
+        way = cache_set.policy.victim(cache_set.occupied)
         victim = cache_set.lines[way]
         if victim is not None:
             del cache_set.way_of[victim]
             self.stats.evictions += 1
-            self._notify_eviction(victim)
+            for listener in self._eviction_listeners:
+                listener(victim)
         cache_set.lines[way] = line
+        cache_set.occupied[way] = True
         cache_set.way_of[line] = way
         cache_set.policy.fill(way)
         self.stats.fills += 1
@@ -148,13 +154,14 @@ class SetAssociativeCache:
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present (clflush path; not an eviction)."""
-        cache_set = self._sets.get(self._indexer.index(line))
+        cache_set = self._sets.get(self._index(line))
         if cache_set is None:
             return False
         way = cache_set.way_of.pop(line, None)
         if way is None:
             return False
         cache_set.lines[way] = None
+        cache_set.occupied[way] = False
         cache_set.policy.invalidate(way)
         self.stats.invalidations += 1
         return True
@@ -180,4 +187,5 @@ class SetAssociativeCache:
         """
         for cache_set in self._sets.values():
             cache_set.lines = [None] * self.ways
+            cache_set.occupied = [False] * self.ways
             cache_set.way_of.clear()

@@ -23,6 +23,7 @@ read-set monitor (the abort signal Prime+Abort keys on).
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..config import SocketConfig
@@ -222,40 +223,51 @@ class CacheHierarchy:
         hash_fn = slice_hash if slice_hash is not None else self.slice_hash
         line = physical_address >> 6
         slice_id = hash_fn.slice_of(line)
+        level = self.access(core_id, line, slice_id, hash_fn.slice_of)
+        if level is Level.L1 or level is Level.L2:
+            return AccessOutcome(level, None, line)
+        return AccessOutcome(level, slice_id, line)
+
+    def access(self, core_id: int, line: int, slice_id: int,
+               slice_of: Callable[[int], int]) -> Level:
+        """The one access routine behind :meth:`load` and bulk walks.
+
+        ``slice_id`` is ``slice_of(line)``, hashed once by the caller;
+        ``slice_of`` routes the L2 victim to its own home slice.
+        Allocates nothing per access.
+        """
         stats = self.stats
         stats.loads += 1
 
         if self._l1[core_id].lookup(line):
             stats.l1_hits += 1
-            return AccessOutcome(Level.L1, None, line)
+            return Level.L1
 
         if self._l2[core_id].lookup(line):
             stats.l2_hits += 1
-            self._fill_l1(core_id, line)
-            return AccessOutcome(Level.L2, None, line)
+            self._l1[core_id].insert(line)
+            return Level.L2
 
-        if self._llc[slice_id].lookup(line):
+        llc = self._llc[slice_id]
+        if llc.lookup(line):
             # Victim-cache semantics: promote to the private caches and
             # drop the LLC copy.
             stats.llc_hits += 1
-            self._llc[slice_id].invalidate(line)
-            self._fill_private(core_id, line, hash_fn)
-            return AccessOutcome(Level.LLC, slice_id, line)
+            llc.invalidate(line)
+            self._fill_private(core_id, line, slice_id, slice_of)
+            return Level.LLC
 
         remote = self._directories[slice_id].remote_holder(line,
                                                            core_id)
-        self._fill_private(core_id, line, hash_fn)
+        self._fill_private(core_id, line, slice_id, slice_of)
         if remote is not None:
             stats.remote_hits += 1
-            return AccessOutcome(Level.REMOTE_CACHE, slice_id, line)
+            return Level.REMOTE_CACHE
         stats.dram_fills += 1
-        return AccessOutcome(Level.DRAM, slice_id, line)
+        return Level.DRAM
 
-    def _fill_l1(self, core_id: int, line: int) -> None:
-        self._l1[core_id].insert(line)
-
-    def _fill_private(self, core_id: int, line: int,
-                      hash_fn: SliceHash) -> None:
+    def _fill_private(self, core_id: int, line: int, slice_id: int,
+                      slice_of: Callable[[int], int]) -> None:
         """Fill L1+L2; cascade the L2 victim into its LLC home slice.
 
         The victim's directory entry is retired *before* the new line's
@@ -263,17 +275,17 @@ class CacheHierarchy:
         on a plain replacement.
         """
         victim = self._l2[core_id].insert(line)
-        self._l1[core_id].insert(line)
+        l1 = self._l1[core_id]
+        l1.insert(line)
         if victim is not None:
             # Inclusion: the L1 may not keep a line the L2 dropped.
-            self._l1[core_id].invalidate(victim)
-            victim_slice = hash_fn.slice_of(victim)
+            l1.invalidate(victim)
+            victim_slice = slice_of(victim)
             self._directories[victim_slice].record_eviction(victim,
                                                             core_id)
             self._check_transactions(victim)
             self._llc[victim_slice].insert(victim)
-        self._directories[hash_fn.slice_of(line)].record_fill(line,
-                                                              core_id)
+        self._directories[slice_id].record_fill(line, core_id)
 
     def _on_llc_eviction(self, line: int) -> None:
         self._check_transactions(line)
@@ -295,8 +307,9 @@ class CacheHierarchy:
         for core_id in range(self.num_cores):
             was_cached |= self._l1[core_id].invalidate(line)
             was_cached |= self._l2[core_id].invalidate(line)
-        was_cached |= self._llc[hash_fn.slice_of(line)].invalidate(line)
-        self._directories[hash_fn.slice_of(line)].record_invalidation(line)
+        slice_id = hash_fn.slice_of(line)
+        was_cached |= self._llc[slice_id].invalidate(line)
+        self._directories[slice_id].record_invalidation(line)
         self._check_transactions(line)
         return was_cached
 
@@ -324,6 +337,8 @@ class CacheHierarchy:
         return txn.aborted
 
     def _check_transactions(self, line: int) -> None:
+        if not self._transactions:
+            return
         for txn in self._transactions.values():
             if not txn.aborted and line in txn.read_set:
                 txn.aborted = True

@@ -11,6 +11,11 @@ any full-rank mask set reproduces the behaviour.
 Set indexing inside a cache is factored behind :class:`Indexer` so the
 randomized-LLC defense can swap a keyed permutation in place of the
 conventional modulo indexing without the attacker code changing.
+
+Both the slice hash and the keyed indexer are pure functions of fields
+fixed at construction, and the cache hierarchy asks them about the same
+lines over and over (a walk, its L2 victims, the directory fill), so
+each instance memoizes its scalar answer per line.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ _DEFAULT_MASKS = (
     0x3CCCC93100,
     0x1839290940,
 )
+
+#: Lines one hash object's memo holds before it is cleared wholesale
+#: (an SPP cell's walk and flood touch about 11k lines).
+_MEMO_BOUND = 1 << 16
 
 
 def _parity(value: int) -> int:
@@ -71,7 +80,10 @@ class SliceHash:
             bad = [s for s in allowed_slices if not 0 <= s < num_slices]
             if bad:
                 raise ValueError(f"slice ids out of range: {bad}")
+            if not allowed_slices:
+                raise ValueError("need at least one allowed slice")
             self.allowed_slices = tuple(allowed_slices)
+        self._memo: dict[int, int] = {}
 
     def raw_hash(self, line: int) -> int:
         """The unfolded XOR hash value for a line number.
@@ -87,9 +99,22 @@ class SliceHash:
         return result
 
     def slice_of(self, line: int) -> int:
-        """The slice id serving ``line``."""
-        mixed = _splitmix64(self.raw_hash(line) ^ (line >> 4))
-        return self.allowed_slices[mixed % len(self.allowed_slices)]
+        """The slice id serving ``line``.
+
+        Memoized per instance on the line: the answer depends only on
+        ``masks`` and ``allowed_slices``, which are fixed at
+        construction, so a remembered slice is the one a fresh hash
+        would give.  The memo is cleared wholesale at ``_MEMO_BOUND``
+        entries, which cannot change an answer.
+        """
+        slice_id = self._memo.get(line)
+        if slice_id is None:
+            mixed = _splitmix64(self.raw_hash(line) ^ (line >> 4))
+            slice_id = self.allowed_slices[mixed % len(self.allowed_slices)]
+            if len(self._memo) >= _MEMO_BOUND:
+                self._memo.clear()
+            self._memo[line] = slice_id
+        return slice_id
 
     def slice_of_array(self, lines: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`slice_of` over an array of line numbers.
@@ -161,6 +186,19 @@ class RandomizedIndexer(Indexer):
     def __init__(self, num_sets: int, key: int) -> None:
         super().__init__(num_sets)
         self.key = key & 0xFFFFFFFFFFFFFFFF
+        self._memo: dict[int, int] = {}
 
     def index(self, line: int) -> int:
-        return _splitmix64(line ^ self.key) % self.num_sets
+        """The keyed set index for ``line``.
+
+        Memoized per instance on the line, as :meth:`SliceHash.slice_of`
+        is: ``key`` and ``num_sets`` are fixed at construction, and the
+        memo is cleared wholesale at ``_MEMO_BOUND`` entries.
+        """
+        index = self._memo.get(line)
+        if index is None:
+            index = _splitmix64(line ^ self.key) % self.num_sets
+            if len(self._memo) >= _MEMO_BOUND:
+                self._memo.clear()
+            self._memo[line] = index
+        return index

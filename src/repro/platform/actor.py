@@ -90,18 +90,25 @@ class Actor:
         per-access latency sampling (which the walker would not record
         anyway) is skipped, and time advances once by the aggregate loop
         cost.  A "miss" is an access served past the LLC (DRAM).
+
+        Each access goes straight to :meth:`CacheHierarchy.access` with
+        its line hashed once, the same routine :meth:`timed_load`'s
+        ``load`` runs.
         """
-        hierarchy = self.socket.hierarchy
-        space = self.space
+        if isinstance(virtuals, np.ndarray):
+            # The hashes are arbitrary-precision int arithmetic.
+            virtuals = virtuals.tolist()
+        access = self.socket.hierarchy.access
+        translate = self.space.translate
+        slice_of = self.slice_hash.slice_of
+        core_id = self.core_id
+        dram = Level.DRAM
         misses = 0
         for virtual in virtuals:
-            outcome = hierarchy.load(
-                self.core_id, space.translate(virtual),
-                slice_hash=self.slice_hash,
-            )
-            if outcome.level is Level.DRAM:
+            line = translate(virtual) >> 6
+            if access(core_id, line, slice_of(line), slice_of) is dram:
                 misses += 1
-        if advance_time and virtuals:
+        if advance_time and len(virtuals):
             mean_lat = self.system.latency_model.mean_llc_cycles(
                 1, self.socket.uncore_freq_mhz
             )

@@ -1,11 +1,22 @@
 """Cache hierarchy semantics: victim LLC, directory, clflush, TSX."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.cache import CacheHierarchy, Level
-from repro.config import CacheConfig, SocketConfig, SOCKET0_ACTIVE_TILES
+from repro.cache import CacheHierarchy, Level, slice_hash as slice_hash_module
+from repro.cache.hierarchy import CacheStats
+from repro.cache.slice_hash import RandomizedIndexer, _splitmix64
+from repro.channels.spp import SppChannel
+from repro.config import (
+    CacheConfig,
+    SocketConfig,
+    SOCKET0_ACTIVE_TILES,
+    default_platform_config,
+)
 from repro.errors import ChannelError
-from repro.platform import System
+from repro.platform import SecurityConfig, System
 
 
 @pytest.fixture
@@ -196,3 +207,187 @@ class TestLazySets:
         # bypasses the LLC.
         assert allocated_sets(hierarchy) == 3
         assert all(len(cache._sets) == 0 for cache in hierarchy._llc)
+
+
+class FormulaSliceHash:
+    """A domain's slice hash straight from its formula, with no memo."""
+
+    def __init__(self, hash_fn) -> None:
+        self.hash_fn = hash_fn
+
+    def slice_of(self, line: int) -> int:
+        allowed = self.hash_fn.allowed_slices
+        mixed = _splitmix64(self.hash_fn.raw_hash(line) ^ (line >> 4))
+        return allowed[mixed % len(allowed)]
+
+
+def formula_index(indexer, num_sets: int):
+    """The set-index formula behind an indexer, with no memo."""
+    if isinstance(indexer, RandomizedIndexer):
+        return lambda line: _splitmix64(line ^ indexer.key) % num_sets
+    return lambda line: line % num_sets
+
+
+SECURITY = {
+    "standard": SecurityConfig(),
+    "random-llc": SecurityConfig(randomize_llc=True),
+    "partitioned": SecurityConfig(fine_partition=True, num_domains=2),
+}
+
+#: SPP-style walk sizes (lines): the receiver overflows its 1024-line
+#: L2, the sender's flood overflows the LLC.
+WALK_LINES = 1200
+FLOOD_LINES = 2400
+
+
+def walk_config():
+    """SPP's scaled geometry with 16-set, 8-way LLC slices (2048 lines;
+    tree PLRU needs a power-of-two way count)."""
+    config = SppChannel.platform_transform(default_platform_config())
+    return replace(config, sockets=tuple(
+        replace(socket, llc_slice_config=replace(
+            socket.llc_slice_config, size_bytes=16 * 8 * 64, ways=8))
+        for socket in config.sockets))
+
+
+def spp_twin(security: str, policy: str):
+    """A system on :func:`walk_config` with the given LLC policy, plus
+    the receiver and the sender (in the other domain when
+    partitioned)."""
+    system = System(walk_config(), security=SECURITY[security], seed=5)
+    for socket in system.sockets:
+        socket.hierarchy = CacheHierarchy(
+            socket.config,
+            llc_indexer_factory=socket.hierarchy._llc_indexer_factory,
+            llc_policy=policy,
+        )
+    receiver = system.create_actor("receiver", 0, 8, domain=0)
+    sender = system.create_actor(
+        "sender", 0, 0, domain=1 if security == "partitioned" else 0)
+    walk = tuple(receiver.allocate(WALK_LINES * 64).addresses(64))
+    flood = tuple(sender.allocate(FLOOD_LINES * 64).addresses(64))
+    return system, receiver, sender, walk, flood
+
+
+def reference_bulk_load(actor, virtuals) -> int:
+    """``Actor.bulk_load`` as a loop of ``load`` on the formula hash."""
+    hierarchy = actor.socket.hierarchy
+    formula = FormulaSliceHash(actor.slice_hash)
+    misses = 0
+    for virtual in virtuals:
+        outcome = hierarchy.load(actor.core_id,
+                                 actor.space.translate(virtual),
+                                 slice_hash=formula)
+        misses += outcome.level is Level.DRAM
+    return misses
+
+
+def hierarchy_state(hierarchy, homes):
+    """Everything a walk leaves behind: the lines of every touched
+    L1/L2/LLC set, directory holders of the walked lines, and stats."""
+    caches = (*hierarchy._l1, *hierarchy._l2, *hierarchy._llc)
+    return {
+        "sets": [{index: cache.lines_in_set(index)
+                  for index in sorted(cache._sets)} for cache in caches],
+        "cache_stats": [cache.stats for cache in caches],
+        "stats": {name: getattr(hierarchy.stats, name)
+                  for name in CacheStats.__slots__},
+        "holders": {line: hierarchy._directories[home].holders(line)
+                    for line, home in homes.items()},
+    }
+
+
+def check_placement(hierarchy, homes) -> None:
+    """Occupancy flags mirror the lines, and every line sits in the set
+    its indexing formula names and, in the LLC and the directory, in
+    its own home slice."""
+    private = [(None, cache) for cache in (*hierarchy._l1, *hierarchy._l2)]
+    for slice_id, cache in private + list(enumerate(hierarchy._llc)):
+        index = formula_index(cache._indexer, cache.num_sets)
+        for set_index, cache_set in cache._sets.items():
+            assert cache_set.occupied == [
+                line is not None for line in cache_set.lines]
+            for line in cache_set.lines:
+                if line is not None:
+                    assert index(line) == set_index
+                    assert slice_id is None or homes[line] == slice_id
+    for slice_id, directory in enumerate(hierarchy._directories):
+        indexer = getattr(directory._index_fn, "__self__", None)
+        index = formula_index(indexer, directory.num_sets)
+        for set_index, entries in directory._sets.items():
+            for line in entries:
+                assert (homes[line], index(line)) == (slice_id, set_index)
+
+
+def run_spp_sequence(security, policy, walker, transaction=False):
+    """Warm, calibrate, flood and re-walk (SPP's setup and one "1"
+    bit) through ``walker``; returns the miss counts, the final
+    hierarchy, every walked line's home slice and the abort flag."""
+    system, receiver, sender, walk, flood = spp_twin(security, policy)
+    hierarchy = receiver.socket.hierarchy
+    misses = [walker(receiver, walk), walker(receiver, walk)]
+    if transaction:
+        read_set = frozenset(receiver.space.translate(v) >> 6
+                             for v in walk[:64])
+        hierarchy.begin_transaction(receiver.core_id, read_set)
+    misses += [walker(receiver, walk), walker(sender, flood),
+               walker(receiver, walk)]
+    homes = {}
+    for actor, virtuals in ((receiver, walk), (sender, flood)):
+        formula = FormulaSliceHash(actor.slice_hash)
+        for virtual in virtuals:
+            line = actor.space.translate(virtual) >> 6
+            homes[line] = formula.slice_of(line)
+    aborted = (hierarchy.transaction_aborted(receiver.core_id)
+               if transaction else None)
+    return misses, hierarchy, homes, aborted
+
+
+def bulk(actor, virtuals) -> int:
+    return actor.bulk_load(virtuals, advance_time=False)
+
+
+class TestBulkLoad:
+    """``Actor.bulk_load`` against a loop of ``load`` on a twin system."""
+
+    def assert_twins_agree(self, security, policy, transaction=False):
+        misses, hierarchy, homes, aborted = run_spp_sequence(
+            security, policy, bulk, transaction)
+        ref_misses, ref_hierarchy, ref_homes, ref_aborted = \
+            run_spp_sequence(security, policy, reference_bulk_load,
+                             transaction)
+        assert homes == ref_homes
+        assert misses == ref_misses
+        assert sum(llc.stats.evictions for llc in hierarchy._llc) > 0
+        assert hierarchy_state(hierarchy, homes) == hierarchy_state(
+            ref_hierarchy, homes)
+        check_placement(hierarchy, homes)
+        check_placement(ref_hierarchy, homes)
+        assert aborted == ref_aborted
+        return aborted
+
+    @pytest.mark.parametrize("policy", ["lru", "plru", "random"])
+    @pytest.mark.parametrize("security", sorted(SECURITY))
+    def test_matches_load_loop(self, security, policy):
+        self.assert_twins_agree(security, policy)
+
+    def test_matches_with_transaction_open(self):
+        assert self.assert_twins_agree("standard", "lru",
+                                       transaction=True) is True
+
+    def test_matches_across_memo_clears(self, monkeypatch):
+        monkeypatch.setattr(slice_hash_module, "_MEMO_BOUND", 3)
+        self.assert_twins_agree("random-llc", "lru")
+        self.assert_twins_agree("partitioned", "plru")
+
+    def test_numpy_addresses_match_tuple(self):
+        results = []
+        for as_array in (False, True):
+            system, receiver, _sender, walk, _flood = spp_twin(
+                "standard", "lru")
+            virtuals = np.array(walk) if as_array else walk
+            start = system.engine.now
+            misses = [receiver.bulk_load(virtuals) for _ in range(3)]
+            results.append((misses, system.engine.now - start))
+        assert results[0] == results[1]
+        assert results[0][1] > 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache import SliceHash
-from repro.cache.slice_hash import _parity
+from repro.cache import SliceHash, slice_hash as slice_hash_module
+from repro.cache.slice_hash import RandomizedIndexer, _parity, _splitmix64
 
 
 class TestSliceHash:
@@ -71,6 +71,14 @@ class TestRestriction:
         with pytest.raises(ValueError):
             SliceHash(16, allowed_slices=(0, 16))
 
+    def test_empty_allowed_rejected(self):
+        with pytest.raises(ValueError):
+            SliceHash(16, allowed_slices=())
+
+    def test_empty_restriction_rejected(self):
+        with pytest.raises(ValueError):
+            SliceHash(16).restricted(())
+
     def test_restriction_preserves_num_slices(self):
         restricted = SliceHash(16).restricted((1, 3))
         assert restricted.num_slices == 16
@@ -112,3 +120,63 @@ class TestParityAndPaths:
         assert list(hash_fn.slice_of_array(lines)) == [
             hash_fn.slice_of(int(line)) for line in lines
         ]
+
+
+def query_twice(memoized, lines, bound):
+    """Ask ``memoized`` about each line twice, watching its memo.
+
+    Returns the answers and how often the memo shrank (a wholesale
+    clear); the memo must never hold more than ``bound`` entries.
+    """
+    answers, clears, size = [], 0, 0
+    for line in lines:
+        for _ in range(2):
+            answers.append(memoized(line))
+            new_size = len(memoized.__self__._memo)
+            assert new_size <= bound
+            clears += new_size < size
+            size = new_size
+    return answers, clears
+
+
+@pytest.fixture(scope="class", params=[None, 3],
+                ids=["default-bound", "bound-3"])
+def memo_bound(request):
+    """The memo bound in force: the module's own, or a tiny one that
+    forces clears.  Class-scoped, as hypothesis reruns the test body;
+    every example builds fresh hash objects."""
+    if request.param is None:
+        yield slice_hash_module._MEMO_BOUND
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slice_hash_module, "_MEMO_BOUND", request.param)
+        yield request.param
+
+
+class TestMemo:
+    """The per-line memos answer exactly what the formulas give."""
+
+    @given(lines=st.lists(words, min_size=1, max_size=40),
+           allowed=st.sets(st.integers(0, 15), min_size=1))
+    def test_slice_of_matches_vector_path(self, memo_bound, lines,
+                                          allowed):
+        for hash_fn in (SliceHash(16),
+                        SliceHash(16).restricted(tuple(sorted(allowed)))):
+            expected = hash_fn.slice_of_array(
+                np.array(lines, dtype=np.uint64))
+            answers, clears = query_twice(hash_fn.slice_of, lines,
+                                          memo_bound)
+            assert answers == [int(s) for s in expected for _ in (0, 1)]
+            if len(set(lines)) > memo_bound:
+                assert clears > 0
+
+    @given(lines=st.lists(words, min_size=1, max_size=40), key=words,
+           num_sets=st.integers(1, 4096))
+    def test_randomized_index_matches_formula(self, memo_bound, lines,
+                                              key, num_sets):
+        indexer = RandomizedIndexer(num_sets, key)
+        answers, clears = query_twice(indexer.index, lines, memo_bound)
+        assert answers == [_splitmix64(line ^ key) % num_sets
+                           for line in lines for _ in (0, 1)]
+        if len(set(lines)) > memo_bound:
+            assert clears > 0
