@@ -278,6 +278,14 @@ class AddressSpace:
         segment = SharedSegment(frames=frames, page_bytes=self.page_bytes)
         return segment
 
+    def frames_of(self, allocation: Allocation) -> list[int]:
+        """The frame behind each base page of ``allocation``, in order."""
+        page = self.page_bytes
+        first = allocation.virtual_base // page
+        table = self._page_table
+        return [table[first + i]
+                for i in range(allocation.size_bytes // page)]
+
     def translate(self, virtual: int) -> int:
         """Virtual-to-physical translation; raises on an unmapped page."""
         page = self.page_bytes

@@ -1,10 +1,13 @@
 """Eviction-list construction (Section 3.1's EV lists)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.cache import CacheHierarchy, EvictionListBuilder, Level
-from repro.config import SOCKET0_ACTIVE_TILES, SocketConfig
+from repro.cache import (CacheHierarchy, EvictionListBuilder, EvictionSet,
+                         Level)
+from repro.config import SOCKET0_ACTIVE_TILES, CacheConfig, SocketConfig
 from repro.errors import MemoryError_
 from repro.mem import AddressSpace, PhysicalMemory
 
@@ -143,40 +146,199 @@ class TestPartitionAndBudget:
             builder.build_l2_list(slice_id=0, l2_set=0, count=5000)
 
 
-def per_page_reference(builder, allocations):
-    """The original per-page candidate loop, one small array per page."""
-    space = builder.space
-    page = space.page_bytes
-    offsets = np.arange(page // 64, dtype=np.int64)
-    virt_chunks, line_chunks = [], []
-    for allocation in allocations:
-        for virtual_base in range(allocation.virtual_base,
-                                  allocation.virtual_end, page):
-            physical_base = space.translate(virtual_base)
-            virt_chunks.append(virtual_base + offsets * 64)
-            line_chunks.append(
-                ((physical_base >> 6) + offsets).astype(np.uint64)
-            )
-    lines = np.concatenate(line_chunks)
-    return (np.concatenate(virt_chunks), lines,
-            builder.slice_hash.slice_of_array(lines))
+class ClassifyAllBuilder:
+    """The builder before the set filter: it slice-hashes every line of
+    every chunk, keeps all three per-line arrays, and masks them."""
+
+    def __init__(self, space, hierarchy, *, slice_hash=None,
+                 max_search_bytes=1 << 31):
+        self.space = space
+        self.hierarchy = hierarchy
+        self.slice_hash = slice_hash or hierarchy.slice_hash
+        self.max_search_bytes = max_search_bytes
+        self._searched_bytes = 0
+        self._virtual = np.empty(0, dtype=np.int64)
+        self._lines = np.empty(0, dtype=np.uint64)
+        self._slices = np.empty(0, dtype=np.int64)
+
+    def _grow(self):
+        page = self.space.page_bytes
+        chunk_bytes = EvictionListBuilder._CHUNK_PAGES * page
+        if self._searched_bytes + chunk_bytes > self.max_search_bytes:
+            raise MemoryError_("budget")
+        allocation = self.space.allocate(chunk_bytes)
+        self._searched_bytes += chunk_bytes
+        virtual_pages = range(allocation.virtual_base,
+                              allocation.virtual_end, page)
+        physical_pages = np.array(
+            [self.space.translate(v) for v in virtual_pages], dtype=np.int64)
+        offsets = np.arange(page // 64, dtype=np.int64)
+        new_virtual = (np.array(virtual_pages, dtype=np.int64)[:, None]
+                       + offsets * 64).ravel()
+        new_lines = ((physical_pages >> 6)[:, None]
+                     + offsets).ravel().astype(np.uint64)
+        self._virtual = np.concatenate([self._virtual, new_virtual])
+        self._lines = np.concatenate([self._lines, new_lines])
+        self._slices = np.concatenate(
+            [self._slices, self.slice_hash.slice_of_array(new_lines)])
+
+    def _pick(self, count, slice_id, num_sets=1, set_index=0, **labels):
+        if slice_id is not None and \
+                slice_id not in self.slice_hash.allowed_slices:
+            raise MemoryError_("foreign slice")
+        while True:
+            mask = (self._lines % np.uint64(num_sets)).astype(
+                np.int64) == set_index
+            if slice_id is not None:
+                mask &= self._slices == slice_id
+            chosen = np.flatnonzero(mask)
+            if len(chosen) >= count:
+                chosen = chosen[:count]
+                break
+            self._grow()
+        return EvictionSet(
+            virtual_addresses=tuple(int(v) for v in self._virtual[chosen]),
+            lines=tuple(int(l) for l in self._lines[chosen]),
+            slice_id=-1 if slice_id is None else slice_id, **labels)
+
+    def build_l2_list(self, slice_id, l2_set, count):
+        sets = self.hierarchy.config.l2_config.num_sets
+        return self._pick(count, slice_id, sets, l2_set, l2_set=l2_set)
+
+    def build_llc_set_list(self, slice_id, llc_set, count):
+        sets = self.hierarchy.config.llc_slice_config.num_sets
+        return self._pick(count, slice_id, sets, llc_set, llc_set=llc_set)
+
+    def build_slice_working_set(self, slice_id, count):
+        return self._pick(count, slice_id)
+
+    def build_l2_set_group(self, l2_set, count):
+        sets = self.hierarchy.config.l2_config.num_sets
+        return self._pick(count, None, sets, l2_set, l2_set=l2_set)
+
+    def build_measurement_list(self, slice_id, count=20, l2_set=0):
+        return self.build_l2_list(slice_id, l2_set, count)
 
 
-class TestCandidateGrowth:
+#: Socket geometries: the Table 1 one, and one whose L2 (32 sets) and LLC
+#: slice (16 sets) have fewer sets than a page has lines, so several
+#: offsets of every page match a set.
+GEOMETRIES = {
+    "table1": {},
+    "small_sets": {
+        "l2_config": CacheConfig("L2", 32 * 16 * 64, 16),
+        "llc_slice_config": CacheConfig("LLC-slice", 16 * 11 * 64, 11),
+    },
+}
+
+
+def twin_builders(geometry, allowed, **kwargs):
+    """The builder and its classify-everything reference, each over its
+    own fresh (identically allocating) address space."""
+    config = SocketConfig(socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES,
+                          **GEOMETRIES[geometry])
+    hierarchy = CacheHierarchy(config)
+    slice_hash = (None if allowed is None
+                  else hierarchy.slice_hash.restricted(allowed))
+    return tuple(
+        cls(AddressSpace("attacker", PhysicalMemory(8 << 30, 4096)),
+            hierarchy, slice_hash=slice_hash, **kwargs)
+        for cls in (EvictionListBuilder, ClassifyAllBuilder))
+
+
+def interleaved_builds(l2_sets, llc_sets):
+    """Builds of every kind on one builder: later ones reuse the chunks
+    earlier ones allocated, and some grow past them."""
+    return [
+        ("build_l2_list", dict(slice_id=3, l2_set=17 % l2_sets, count=20)),
+        ("build_slice_working_set", dict(slice_id=5, count=300)),
+        ("build_llc_set_list",
+         dict(slice_id=5, llc_set=40 % llc_sets, count=27)),
+        ("build_measurement_list", dict(slice_id=7)),
+        ("build_l2_set_group", dict(l2_set=l2_sets - 1, count=40)),
+        ("build_l2_list", dict(slice_id=1, l2_set=0, count=45)),
+        ("build_llc_set_list",
+         dict(slice_id=3, llc_set=llc_sets - 1, count=11)),
+        ("build_l2_set_group", dict(l2_set=5 % l2_sets, count=0)),
+        ("build_measurement_list",
+         dict(slice_id=3, count=27, l2_set=(l2_sets // 2) + 1)),
+    ]
+
+
+class TestAgainstClassifyAll:
+    """Every build returns what classifying every line returned, and
+    leaves the address space as it left it."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("allowed", [None, (1, 3, 5, 7)])
-    def test_matches_per_page_loop(self, setup, allowed):
-        hierarchy, _, space = setup
-        slice_hash = (None if allowed is None
-                      else hierarchy.slice_hash.restricted(allowed))
-        builder = EvictionListBuilder(space, hierarchy,
-                                      slice_hash=slice_hash)
-        builder._grow()
-        builder._grow()
-        virtual, lines, slices = per_page_reference(builder,
-                                                    space.allocations)
-        for got, want in ((builder._virtual, virtual),
-                          (builder._lines, lines),
-                          (builder._slices, slices)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        assert builder.candidate_count == 2 * 4096 * 64
+    def test_interleaved_builds_match(self, geometry, allowed):
+        builder, reference = twin_builders(geometry, allowed)
+        config = builder.hierarchy.config
+        for name, kwargs in interleaved_builds(
+                config.l2_config.num_sets,
+                config.llc_slice_config.num_sets):
+            got = getattr(builder, name)(**kwargs)
+            assert got == getattr(reference, name)(**kwargs), (name, kwargs)
+            assert len(got) == kwargs.get("count", 20)
+            assert builder.space.allocations == reference.space.allocations
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_budget_error_at_the_same_chunk(self, geometry):
+        builder, reference = twin_builders(geometry, None,
+                                           max_search_bytes=3 << 24)
+        for each in (builder, reference):
+            each.build_l2_list(slice_id=2, l2_set=9, count=10)
+            with pytest.raises(MemoryError_):
+                each.build_llc_set_list(slice_id=0, llc_set=3, count=5000)
+        assert len(builder.space.allocations) == 3
+        assert builder.space.allocations == reference.space.allocations
+
+    def test_candidates_count_hashed_lines(self, setup):
+        _, builder, _ = setup
+        builder.build_l2_set_group(l2_set=7, count=40)
+        assert builder.candidate_count == 0
+        builder.build_l2_list(slice_id=3, l2_set=17, count=1)
+        # One chunk: 4096 pages, one in 16 in L2 set 17's frame class.
+        assert builder.candidate_count == 4096 // 16
+
+
+class TestArgumentValidation:
+    """A bad argument fails before the search allocates anything."""
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("build_l2_list", dict(slice_id=0, l2_set=1024, count=20)),
+        ("build_l2_list", dict(slice_id=0, l2_set=-1, count=20)),
+        ("build_l2_list", dict(slice_id=0, l2_set=0, count=-1)),
+        ("build_llc_set_list", dict(slice_id=0, llc_set=2048, count=20)),
+        ("build_llc_set_list", dict(slice_id=0, llc_set=-3, count=20)),
+        ("build_l2_set_group", dict(l2_set=4096, count=20)),
+        ("build_slice_working_set", dict(slice_id=0, count=-5)),
+        ("build_measurement_list", dict(slice_id=0, l2_set=1024)),
+    ])
+    def test_rejected_without_allocating(self, setup, name, kwargs):
+        _, builder, space = setup
+        with pytest.raises(ValueError):
+            getattr(builder, name)(**kwargs)
+        assert space.allocations == ()
+        assert space.memory.frames_allocated(0) == 0
+
+    def test_zero_count_is_empty(self, setup):
+        _, builder, space = setup
+        assert len(builder.build_l2_list(slice_id=0, l2_set=0,
+                                         count=0)) == 0
+        assert space.allocations == ()
+
+
+class TestFootprint:
+    def test_build_holds_pages_not_lines(self, setup):
+        """Classifying every line held three 2 MB arrays per chunk
+        (43 MB traced peak for this build); the filter holds two 32 KB
+        arrays per chunk and hashes a few hundred lines."""
+        _, builder, _ = setup
+        tracemalloc.start()
+        try:
+            builder.build_llc_set_list(slice_id=3, llc_set=40, count=27)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
